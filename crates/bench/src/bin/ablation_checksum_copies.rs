@@ -1,6 +1,6 @@
 //! Ablation: 1 vs 2 checksum copies in the branch-hardening pass
-//! (DESIGN.md §5). Measures code size and residual decision-path skip
-//! vulnerabilities on pincheck.
+//! (`rr_harden::BranchHardening::copies`). Measures code size and
+//! residual decision-path skip vulnerabilities on pincheck.
 
 use rr_bench::{pct, rule};
 use rr_core::{harden_hybrid, HybridConfig};

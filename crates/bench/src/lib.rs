@@ -1,7 +1,7 @@
 //! # rr-bench — evaluation harness
 //!
 //! Regenerates every table and figure of the paper's evaluation and
-//! benchmarks the toolchain. See `DESIGN.md` for the experiment index.
+//! benchmarks the toolchain. The tables below are the experiment index.
 //!
 //! Table/figure binaries (run with `cargo run --release -p rr-bench --bin <name>`):
 //!
@@ -16,10 +16,11 @@
 //! | `ablation_checksum_copies` | design ablation (1 vs 2 copies) |
 //!
 //! Criterion benches (`cargo bench -p rr-bench`): `emulator`, `campaign`,
-//! `rewriting`, `pipelines`, plus the CI-gated `engine`, `memory`,
-//! `incremental`, and `multifault` benches — each of which also emits a
-//! machine-readable `BENCH_<name>.json` record ([`write_bench_json`])
-//! into `target/bench-results/` so the perf trajectory is tracked across
+//! `rewriting`, `pipelines`, plus eight CI-gated benches — `engine`,
+//! `memory`, `incremental`, `multifault`, `blockexec`, `uop`, `uopopt`
+//! and `analysis` — each of which also emits a machine-readable
+//! `BENCH_<name>.json` record ([`write_bench_json`]) into
+//! `target/bench-results/` so the perf trajectory is tracked across
 //! commits.
 
 #![forbid(unsafe_code)]

@@ -190,7 +190,7 @@ impl<'a> Parser<'a> {
 
 const SPAN_KINDS: [&str; 6] =
     ["record", "snapshot", "restore", "inject", "classify", "bucket_sweep"];
-const COUNTERS: [&str; 25] = [
+const COUNTERS: [&str; 26] = [
     "plans_executed",
     "cache_hits",
     "cache_misses",
@@ -205,6 +205,7 @@ const COUNTERS: [&str; 25] = [
     "blocks_decoded",
     "block_steps",
     "interp_steps",
+    "dirty_blocks_decoded",
     "block_invalidations",
     "blocks_compiled",
     "uop_steps",
@@ -387,6 +388,40 @@ fn fault_trace_and_metrics_are_schema_valid() {
         covered >= 0.3 * wall && covered <= 1.05 * wall,
         "span durations must sum to ≈ wall time, got {covered} of {wall} ns"
     );
+}
+
+#[test]
+fn bitflip_campaign_runs_flipped_code_decoded() {
+    let exe = tmp("bitflip-pincheck.rfx");
+    rr_cli::dispatch(&sv(&["workload", "pincheck", "-o", &exe])).expect("workload builds");
+
+    let metrics = tmp("bitflip-metrics.json");
+    rr_cli::dispatch(&sv(&[
+        "fault",
+        &exe,
+        "--good",
+        "7391",
+        "--bad",
+        "7291",
+        "--model",
+        "bitflip",
+        "--threads",
+        "1",
+        "--metrics",
+        &metrics,
+        "--quiet",
+    ]))
+    .expect("bitflip campaign runs");
+    let root = validate_metrics(&metrics);
+
+    // Every flip pokes code bytes. The corrupted code must run from
+    // blocks decoded from the current bytes, leaving the interpreter
+    // only undecodable bytes and non-executable fetches.
+    assert!(num(&root, "dirty_blocks_decoded") > 0.0, "flipped code must be decoded");
+    let interp = num(&root, "interp_steps");
+    let total = num(&root, "block_steps") + interp + num(&root, "uop_steps");
+    assert!(total > 0.0);
+    assert!(interp < 0.05 * total, "interpreted steps must stay under 5%: {interp} of {total}");
 }
 
 #[test]

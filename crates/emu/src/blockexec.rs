@@ -20,9 +20,16 @@
 //!   terminator special-casing;
 //! * blocks overlapping an exec-dirty range
 //!   ([`Memory::exec_dirty_intersects`](crate::Memory::exec_dirty_intersects))
-//!   — code a fault injection poked — fall back to the interpreter, and
-//!   a write that dirties text *mid-block* (a self-modifying store to a
-//!   write+exec mapping) is caught by the per-step epoch check;
+//!   — code a fault injection poked — are never run from the cache.
+//!   Each run instead decodes such code from the machine's *current*
+//!   bytes, through the interpreter's own fetch and decoder, into a
+//!   small per-run overlay (as it does for cache misses once any code
+//!   has been overwritten). The overlay is emptied whenever the
+//!   exec-dirty epoch moves, and a write that dirties a running block
+//!   *mid-body* (a self-modifying store to a write+exec mapping) is
+//!   caught by the per-step epoch check. Bytes that do not fetch or
+//!   decode are left to the interpreter, which raises the same fault
+//!   at the same step;
 //! * step budgets are exact: the fence is checked before every cached
 //!   instruction, so a fence landing mid-block stops precisely there.
 //!
@@ -32,7 +39,7 @@
 use crate::machine::{Machine, RunResult};
 use crate::outcome::RunOutcome;
 use crate::uop::CompiledBlock;
-use rr_isa::{decode, Instr};
+use rr_isa::{decode, Instr, MAX_INSTR_LEN};
 use rr_obj::Executable;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -44,11 +51,16 @@ use std::sync::OnceLock;
 /// the totals to telemetry in one batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockStats {
-    /// Instructions executed from pre-decoded block bodies.
+    /// Instructions executed from pre-decoded block bodies, whether
+    /// cached or decoded into the per-run overlay over modified code.
     pub block_steps: u64,
-    /// Instructions executed by the plain interpreter (cache miss,
-    /// exec-dirty fallback, or control flow outside the text).
+    /// Instructions executed by the plain interpreter: bytes that do not
+    /// decode, fetches from non-executable memory, and cache misses while
+    /// no code has been overwritten.
     pub interp_steps: u64,
+    /// Blocks decoded from a machine's current (exec-dirty or uncached)
+    /// code bytes into the per-run overlay.
+    pub dirty_blocks_decoded: u64,
     /// Instructions executed from compiled micro-op bodies (the uop
     /// tier, [`Machine::run_uops`]).
     pub uop_steps: u64,
@@ -98,6 +110,46 @@ pub(crate) struct DecodedBlock {
     /// The compiled micro-op body, produced once on crossing the hot
     /// threshold and shared by every subsequent execution.
     pub(crate) compiled: OnceLock<CompiledBlock>,
+}
+
+impl DecodedBlock {
+    /// Decodes the straight-line run at `start` from the bytes `fetch`
+    /// returns at each instruction address, until a block terminator, an
+    /// address at or past `limit`, `max_instrs` instructions, or the
+    /// first fetch or decode failure. `None` when nothing decodes.
+    fn decode<'a>(
+        start: u64,
+        limit: u64,
+        max_instrs: usize,
+        fetch: impl Fn(u64) -> Option<&'a [u8]>,
+    ) -> Option<DecodedBlock> {
+        let mut pc = start;
+        let mut pcs = Vec::new();
+        let mut body = Vec::new();
+        while pc < limit && body.len() < max_instrs {
+            let Some(Ok((insn, len))) = fetch(pc).map(decode) else { break };
+            // An instruction ending at the top of the address space is
+            // left to the interpreter.
+            let Some(next) = pc.checked_add(len as u64) else { break };
+            pcs.push(pc);
+            body.push((insn, len as u8));
+            pc = next;
+            if insn.is_block_terminator() {
+                break;
+            }
+        }
+        if body.is_empty() {
+            return None;
+        }
+        Some(DecodedBlock {
+            start,
+            end: pc,
+            pcs,
+            body,
+            heat: AtomicU32::new(0),
+            compiled: OnceLock::new(),
+        })
+    }
 }
 
 impl Clone for DecodedBlock {
@@ -174,35 +226,16 @@ impl BlockCache {
         let mut iter = sorted.iter().peekable();
         while let Some(&leader) = iter.next() {
             let limit = iter.peek().map_or(text_end, |&&next| next);
-            let mut pc = leader;
-            let mut pcs = Vec::new();
-            let mut body = Vec::new();
-            while pc < limit {
-                let off = (pc - text_start) as usize;
-                let Ok((insn, len)) = decode(&text[off..]) else { break };
-                pcs.push(pc);
-                body.push((insn, len as u8));
-                pc += len as u64;
-                if insn.is_block_terminator() {
-                    break;
-                }
-            }
-            if body.is_empty() {
+            let fetch = |pc: u64| text.get((pc - text_start) as usize..);
+            let Some(block) = DecodedBlock::decode(leader, limit, usize::MAX, fetch) else {
                 continue;
-            }
+            };
             let index = u32::try_from(blocks.len()).ok()?;
-            for (i, &ipc) in pcs.iter().enumerate() {
+            for (i, &ipc) in block.pcs.iter().enumerate() {
                 block_of[(ipc - text_start) as usize] = index;
                 instr_of[(ipc - text_start) as usize] = i as u32;
             }
-            blocks.push(DecodedBlock {
-                start: leader,
-                end: pc,
-                pcs,
-                body,
-                heat: AtomicU32::new(0),
-                compiled: OnceLock::new(),
-            });
+            blocks.push(block);
         }
         if blocks.is_empty() {
             return None;
@@ -248,10 +281,64 @@ impl BlockCache {
     }
 }
 
+/// Most blocks one run keeps decoded over modified code; a wandering
+/// corrupted run that enters more starts over with an empty overlay.
+const OVERLAY_MAX_BLOCKS: usize = 64;
+/// Most instructions in one overlay block (text without a terminator
+/// would otherwise decode to the end of the mapping).
+const OVERLAY_MAX_INSTRS: usize = 256;
+
+/// Blocks decoded from one machine's *current* code bytes, for code the
+/// shared [`BlockCache`] cannot serve: blocks overlapping an exec-dirty
+/// range, and cache misses once any code has been overwritten. Keyed by
+/// entry pc and emptied whenever the exec-dirty epoch moves, so every
+/// block matches the bytes it was decoded from. Lives for one run call.
+#[derive(Default)]
+pub(crate) struct DirtyOverlay {
+    epoch: usize,
+    blocks: Vec<DecodedBlock>,
+}
+
+impl DirtyOverlay {
+    /// The overlay block entered at `machine`'s pc, decoding it on first
+    /// use. `None` when the first instruction does not fetch or decode:
+    /// the interpreter then raises that fault.
+    pub(crate) fn block_at(
+        &mut self,
+        machine: &Machine,
+        stats: &mut BlockStats,
+    ) -> Option<&DecodedBlock> {
+        let epoch = machine.memory().exec_dirty_epoch();
+        if epoch != self.epoch {
+            self.blocks.clear();
+            self.epoch = epoch;
+        }
+        let pc = machine.pc();
+        let index = match self.blocks.iter().position(|b| b.start == pc) {
+            Some(index) => index,
+            None => {
+                // The interpreter's own fetch path, so an instruction
+                // decodes here exactly when `Machine::step` would run it.
+                let memory = machine.memory();
+                let fetch = |pc: u64| memory.fetch(pc, MAX_INSTR_LEN).ok();
+                let block = DecodedBlock::decode(pc, u64::MAX, OVERLAY_MAX_INSTRS, fetch)?;
+                if self.blocks.len() >= OVERLAY_MAX_BLOCKS {
+                    self.blocks.clear();
+                }
+                self.blocks.push(block);
+                stats.dirty_blocks_decoded += 1;
+                self.blocks.len() - 1
+            }
+        };
+        Some(&self.blocks[index])
+    }
+}
+
 impl Machine {
     /// Runs like [`Machine::run`] but executes pre-decoded block bodies
     /// from `cache` wherever the current PC hits a cached, unmodified
-    /// block, falling back to the interpreter everywhere else.
+    /// block, and from a per-run overlay decoded from the current bytes
+    /// over modified code, interpreting everything else.
     /// Bit-identical to [`Machine::run`]: same outcome, same step count,
     /// same final state.
     pub fn run_blocks(
@@ -284,6 +371,7 @@ impl Machine {
         mut trace: Option<&mut Vec<u64>>,
     ) -> RunResult {
         let mut steps = 0u64;
+        let mut overlay = DirtyOverlay::default();
         while steps < max_steps {
             if let Some(outcome) = self.stopped() {
                 return RunResult { outcome, steps };
@@ -294,14 +382,14 @@ impl Machine {
                 {
                     self.run_decoded_body(block, entry, max_steps, &mut steps, stats, &mut trace);
                 }
-                _ => {
-                    if let Some(trace) = trace.as_deref_mut() {
-                        trace.push(self.pc());
-                    }
-                    let _ = self.step();
-                    steps += 1;
-                    stats.interp_steps += 1;
-                }
+                hit => self.run_uncached(
+                    hit.is_some(),
+                    &mut overlay,
+                    max_steps,
+                    &mut steps,
+                    stats,
+                    &mut trace,
+                ),
             }
         }
         match self.stopped() {
@@ -310,11 +398,39 @@ impl Machine {
         }
     }
 
+    /// Executes at a pc the cache cannot serve: `dirty_hit` when the
+    /// cached block there overlaps modified code, else a cache miss.
+    /// Modified code, and any miss once code has been overwritten, runs
+    /// one overlay block decoded from the current bytes; the rest is one
+    /// interpreter step.
+    pub(crate) fn run_uncached(
+        &mut self,
+        dirty_hit: bool,
+        overlay: &mut DirtyOverlay,
+        max_steps: u64,
+        steps: &mut u64,
+        stats: &mut BlockStats,
+        trace: &mut Option<&mut Vec<u64>>,
+    ) {
+        if dirty_hit || self.memory().exec_dirty_epoch() > 0 {
+            if let Some(block) = overlay.block_at(self, stats) {
+                self.run_decoded_body(block, 0, max_steps, steps, stats, trace);
+                return;
+            }
+        }
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.push(self.pc());
+        }
+        let _ = self.step();
+        *steps += 1;
+        stats.interp_steps += 1;
+    }
+
     /// Executes one pre-decoded block body precisely (the blocks tier's
     /// inner loop), starting at instruction `entry`, until a fault, stop,
     /// fence, exec-dirty write into the block, or control transfer out of
-    /// it. Shared with the uop tier, whose cold blocks run here until
-    /// they cross the hot threshold.
+    /// it. Shared with the uop tier, whose cold blocks and overlay blocks
+    /// run here.
     pub(crate) fn run_decoded_body(
         &mut self,
         block: &DecodedBlock,
@@ -447,25 +563,109 @@ mod tests {
         assert_eq!(trace, ref_trace);
     }
 
+    /// Full architectural state equality with the interpreter.
+    fn assert_same_state(label: &str, got: &Machine, want: &Machine) {
+        assert_eq!(got.pc(), want.pc(), "{label}: pc");
+        assert_eq!(got.flags(), want.flags(), "{label}: flags");
+        for r in 0..16 {
+            let r = rr_isa::Reg::from_index(r);
+            assert_eq!(got.reg(r), want.reg(r), "{label}: {r:?}");
+        }
+        assert_eq!(got.output(), want.output(), "{label}: output");
+        assert_eq!(got.stopped(), want.stopped(), "{label}: stopped");
+    }
+
+    /// Flips `mask` into the byte at `addr` of both machines, the way the
+    /// bit-flip fault model corrupts an instruction encoding.
+    fn flip_both(machines: [&mut Machine; 2], addr: u64, mask: u8) {
+        for m in machines {
+            let byte = m.peek_bytes(addr, 1).unwrap()[0];
+            assert!(m.poke_bytes(addr, &[byte ^ mask]));
+        }
+    }
+
     #[test]
-    fn poked_code_falls_back_to_the_interpreter() {
+    fn poked_code_runs_from_the_overlay() {
         let exe = assemble_and_link(LOOPY).unwrap();
         let cache = cache_for(&exe);
-        // Corrupt the `sub r2, 1` update the same way a bit-flip fault
-        // model would, in both machines, and require identical behaviour.
+
+        // A flip that still decodes and changes behaviour: the immediate
+        // of `mov r2, 5` becomes 7, so the loop prints two more digits.
+        // The corrupted block and every uncached block after it run from
+        // the overlay, never the interpreter.
         let mut reference = Machine::new(&exe, &[]);
         let mut blocked = Machine::new(&exe, &[]);
-        let target = exe.entry;
-        for m in [&mut reference, &mut blocked] {
-            let byte = m.peek_bytes(target, 1).unwrap()[0];
-            assert!(m.poke_bytes(target, &[byte ^ 0x40]));
-        }
+        flip_both([&mut reference, &mut blocked], exe.entry + 2, 0x02);
         let want = reference.run(10_000);
         let mut stats = BlockStats::default();
         let got = blocked.run_blocks(&cache, 10_000, &mut stats);
         assert_eq!(got, want);
-        assert_eq!(blocked.take_output(), reference.take_output());
-        assert!(stats.interp_steps > 0, "dirty block must interpret: {stats:?}");
+        assert_same_state("decodable flip", &blocked, &reference);
+        assert_eq!(blocked.output(), b"7654321");
+        assert_eq!(stats.interp_steps, 0, "modified code must run decoded: {stats:?}");
+        assert!(stats.dirty_blocks_decoded > 0, "{stats:?}");
+        assert_eq!(stats.total(), got.steps);
+
+        // A flip that no longer decodes: the same illegal-instruction
+        // crash at the same step, raised by the interpreter.
+        let mut reference = Machine::new(&exe, &[]);
+        let mut blocked = Machine::new(&exe, &[]);
+        flip_both([&mut reference, &mut blocked], exe.entry, 0x40);
+        let want = reference.run(10_000);
+        assert!(
+            matches!(
+                want.outcome,
+                RunOutcome::Crashed { fault: crate::CpuFault::IllegalInstruction(_), .. }
+            ),
+            "{want:?}"
+        );
+        let mut stats = BlockStats::default();
+        let got = blocked.run_blocks(&cache, 10_000, &mut stats);
+        assert_eq!(got, want);
+        assert_same_state("undecodable flip", &blocked, &reference);
+        assert_eq!(stats.interp_steps, 1, "{stats:?}");
+        assert_eq!(stats.dirty_blocks_decoded, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn self_modifying_stores_invalidate_the_overlay() {
+        // The text is mapped write+exec, and each pass stores the loop
+        // counter into the immediate of `mov r1, 1` just ahead of it in
+        // the running block: the store must end the block mid-body, and
+        // every later entry must see the new bytes, never a block
+        // decoded from the old ones.
+        let src = "    .global _start\n\
+             _start:\n\
+                 mov r2, patch\n\
+                 mov r3, 2\n\
+             .loop:\n\
+                 storeb [r2 + 2], r3\n\
+             patch:\n\
+                 mov r1, 1\n\
+                 add r1, '0'\n\
+                 svc 1\n\
+                 sub r3, 1\n\
+                 cmp r3, 0\n\
+                 jne .loop\n\
+                 mov r1, 0\n\
+                 svc 0\n";
+        let mut exe = assemble_and_link(src).unwrap();
+        for seg in &mut exe.segments {
+            if seg.perms.exec {
+                seg.perms.write = true;
+            }
+        }
+        let cache = cache_for(&exe);
+        let mut reference = Machine::new(&exe, &[]);
+        let want = reference.run(10_000);
+        assert_eq!(reference.output(), b"21", "the store rewrites the immediate");
+        let mut blocked = Machine::new(&exe, &[]);
+        let mut stats = BlockStats::default();
+        let got = blocked.run_blocks(&cache, 10_000, &mut stats);
+        assert_eq!(got, want);
+        assert_same_state("self-modifying", &blocked, &reference);
+        assert_eq!(stats.interp_steps, 0, "{stats:?}");
+        assert!(stats.dirty_blocks_decoded > 0, "{stats:?}");
     }
 
     #[test]

@@ -260,8 +260,8 @@ impl Machine {
     /// contract as [`Machine::step`], but without fetching or decoding —
     /// the block-cached fast path (`Machine::run_blocks`). The caller
     /// guarantees `(insn, len)` is what [`Machine::fetch_decode`] would
-    /// return at the current PC (the block cache enforces this with its
-    /// exec-dirty fallback and per-instruction PC checks).
+    /// return at the current PC (the block tiers enforce this with their
+    /// exec-dirty checks and per-instruction PC checks).
     ///
     /// # Errors
     ///

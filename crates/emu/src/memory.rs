@@ -238,8 +238,8 @@ pub struct Memory {
     /// from fault injection, plus checked writes in the (unusual) case
     /// of a region mapped write+exec. Cloned with the memory, so
     /// snapshot/restore rewinds it together with the bytes — the
-    /// block-cached execution fast path consults this to fall back to
-    /// interpretation over modified code.
+    /// block-cached execution fast path consults this to keep modified
+    /// code out of the shared block cache.
     exec_dirty: Vec<std::ops::Range<u64>>,
 }
 
@@ -403,8 +403,9 @@ impl Memory {
     /// Whether any executable byte in `start..end` has been overwritten
     /// since this memory was built (or, for a restored machine, since the
     /// snapshot it came from was captured — the dirty list rewinds with
-    /// the bytes). The block-cached execution path uses this to fall back
-    /// to interpretation over code a fault injection has modified.
+    /// the bytes). The block-cached execution path uses this to keep code
+    /// a fault injection has modified out of the shared block cache; such
+    /// code runs from blocks each run decodes from the current bytes.
     pub fn exec_dirty_intersects(&self, start: u64, end: u64) -> bool {
         !self.exec_dirty.is_empty()
             && self.exec_dirty.iter().any(|r| r.start < end && start < r.end)

@@ -28,7 +28,9 @@
 //! `OnceLock` across threads) and stays compiled. Compiled bodies live
 //! alongside the decoded ones in [`BlockCache`], inheriting the blocks
 //! tier's safety rails verbatim: per-instruction pc-expectation checks,
-//! exec-dirty ranges forcing precise interpretation of faulted code,
+//! exec-dirty ranges sending faulted code to the per-run overlay of
+//! blocks decoded from current bytes (which run decoded, never
+//! compiled),
 //! mid-block fence tails, and cache invalidation dropping compiled
 //! bodies together with decoded ones.
 //!
@@ -54,7 +56,7 @@
 //! equivalence tests here, the emu proptests, and the engine/fault
 //! equivalence suites upstream.
 
-use crate::blockexec::{BlockCache, BlockStats, DecodedBlock};
+use crate::blockexec::{BlockCache, BlockStats, DecodedBlock, DirtyOverlay};
 use crate::machine::{Machine, RunResult};
 use crate::outcome::{CpuFault, RunOutcome};
 use crate::uopopt::{self, OptStats};
@@ -543,8 +545,10 @@ impl DecodedBlock {
 
 impl Machine {
     /// Runs like [`Machine::run`] but executes hot superblocks as
-    /// compiled micro-op traces, warm blocks as pre-decoded bodies, and
-    /// everything else through the interpreter. Bit-identical to
+    /// compiled micro-op traces, warm blocks as pre-decoded bodies,
+    /// modified code as pre-decoded bodies from a per-run overlay (never
+    /// compiled; see [`Machine::run_blocks`]), and everything else
+    /// through the interpreter. Bit-identical to
     /// [`Machine::run`]: same outcome, same step count, same final
     /// state — including NZCV at every exit.
     ///
@@ -599,6 +603,7 @@ impl Machine {
         mut trace: Option<&mut Vec<u64>>,
     ) -> RunResult {
         let mut steps = 0u64;
+        let mut overlay = DirtyOverlay::default();
         let store_to_load = self.memory().writable_implies_readable();
         while steps < max_steps {
             if let Some(outcome) = self.stopped() {
@@ -646,14 +651,14 @@ impl Machine {
                         ),
                     }
                 }
-                _ => {
-                    if let Some(trace) = trace.as_deref_mut() {
-                        trace.push(self.pc());
-                    }
-                    let _ = self.step();
-                    steps += 1;
-                    stats.interp_steps += 1;
-                }
+                hit => self.run_uncached(
+                    hit.is_some(),
+                    &mut overlay,
+                    max_steps,
+                    &mut steps,
+                    stats,
+                    &mut trace,
+                ),
             }
         }
         match self.stopped() {
@@ -1038,8 +1043,8 @@ impl Machine {
             if now != epoch {
                 // A store landed in executable memory: the compiled
                 // body may be stale; re-entry through the outer lookup
-                // decides (and falls back to precise interpretation for
-                // this block if it was hit).
+                // decides (and runs this block from the overlay if it
+                // was hit).
                 epoch = now;
                 if self.memory().exec_dirty_intersects(block.start, block.end) {
                     break;
@@ -1755,20 +1760,57 @@ mod tests {
         }
     }
 
+    /// Address of the first instruction at or after `from` that
+    /// `matches`, walking the text in decode order.
+    fn find_instr(exe: &Executable, from: u64, matches: impl Fn(&Instr) -> bool) -> u64 {
+        let text = exe.text_range();
+        let mut pc = from;
+        while pc < text.end {
+            let off = (pc - text.start) as usize;
+            let (insn, len) = rr_isa::decode(&exe.text_bytes()[off..]).expect("text decodes");
+            if matches(&insn) {
+                return pc;
+            }
+            pc += len as u64;
+        }
+        panic!("no matching instruction");
+    }
+
     #[test]
-    fn poked_code_falls_back_to_the_interpreter() {
+    fn poked_code_runs_from_the_overlay() {
         let exe = assemble_and_link(LOOPY).unwrap();
         let cache = cache_for(&exe);
-        // Warm the cache so the corrupted block is already compiled.
+        let config = UopConfig { hot_threshold: 0, ..UopConfig::default() };
+        // Warm the cache so the loop block is already compiled.
         let mut warm = BlockStats::default();
-        Machine::new(&exe, &[]).run_uops(
-            &cache,
-            UopConfig { hot_threshold: 0, ..UopConfig::default() },
-            10_000,
-            &mut warm,
-        );
+        Machine::new(&exe, &[]).run_uops(&cache, config, 10_000, &mut warm);
         assert!(warm.blocks_compiled > 0);
 
+        // A flip that still decodes and changes behaviour: `add r1, '0'`
+        // in `emit` becomes `add r1, '1'`. `emit` runs from the overlay,
+        // the untouched loop block keeps running compiled, and nothing
+        // is interpreted.
+        let add = find_instr(&exe, exe.entry, |i| matches!(i, Instr::AluRI { imm: 0x30, .. }));
+        let mut reference = Machine::new(&exe, &[]);
+        let mut m = Machine::new(&exe, &[]);
+        for machine in [&mut reference, &mut m] {
+            let byte = machine.peek_bytes(add + 2, 1).unwrap()[0];
+            assert!(machine.poke_bytes(add + 2, &[byte ^ 0x01]));
+        }
+        let want = reference.run(10_000);
+        let mut stats = BlockStats::default();
+        let got = m.run_uops(&cache, config, 10_000, &mut stats);
+        assert_eq!(got, want);
+        assert_state_matches("decodable flip", &m, &reference);
+        assert_eq!(m.output(), b"65432");
+        assert_eq!(stats.interp_steps, 0, "modified code must run decoded: {stats:?}");
+        assert!(stats.dirty_blocks_decoded > 0, "{stats:?}");
+        assert!(stats.uop_steps > 0, "clean blocks stay compiled: {stats:?}");
+        assert!(stats.block_steps > 0, "overlay blocks run decoded: {stats:?}");
+        assert_eq!(stats.total(), got.steps);
+
+        // A flip that no longer decodes: the same illegal-instruction
+        // crash at the same step, raised by the interpreter.
         let mut reference = Machine::new(&exe, &[]);
         let mut m = Machine::new(&exe, &[]);
         let target = exe.entry;
@@ -1777,16 +1819,19 @@ mod tests {
             assert!(machine.poke_bytes(target, &[byte ^ 0x40]));
         }
         let want = reference.run(10_000);
-        let mut stats = BlockStats::default();
-        let got = m.run_uops(
-            &cache,
-            UopConfig { hot_threshold: 0, ..UopConfig::default() },
-            10_000,
-            &mut stats,
+        assert!(
+            matches!(
+                want.outcome,
+                RunOutcome::Crashed { fault: CpuFault::IllegalInstruction(_), .. }
+            ),
+            "{want:?}"
         );
+        let mut stats = BlockStats::default();
+        let got = m.run_uops(&cache, config, 10_000, &mut stats);
         assert_eq!(got, want);
-        assert_eq!(m.take_output(), reference.take_output());
-        assert!(stats.interp_steps > 0, "dirty block must interpret: {stats:?}");
+        assert_state_matches("undecodable flip", &m, &reference);
+        assert_eq!(stats.interp_steps, 1, "{stats:?}");
+        assert_eq!(stats.dirty_blocks_decoded, 0, "{stats:?}");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use rr_asm::assemble_and_link;
 use rr_emu::{execute, BlockCache, BlockStats, Machine, OptLevel, RunOutcome, UopConfig};
+use rr_obj::Executable;
 
 /// Random but *assemblable* straight-line programs over safe instructions
 /// (no unbalanced memory, no control flow — those are covered by
@@ -93,6 +94,51 @@ fn run_uops_chunked(
     (machine.stopped().unwrap_or(RunOutcome::TimedOut), total)
 }
 
+/// Flips bit `bit` of the text byte at `offset` — the bit-flip fault
+/// model's corruption of an instruction encoding.
+fn flip_text_bit(machine: &mut Machine, exe: &Executable, offset: prop::sample::Index, bit: u8) {
+    let text = exe.text_range();
+    let addr = text.start + offset.index((text.end - text.start) as usize) as u64;
+    let byte = machine.peek_bytes(addr, 1).expect("text is mapped")[0];
+    assert!(machine.poke_bytes(addr, &[byte ^ (1 << bit)]));
+}
+
+/// Drives `run` (one tier's bounded run) in `chunk`-step slices up to
+/// `max_steps`, applying `flip` once the step count reaches `flip_at` —
+/// between two chunks, so the run resumes over code that changed since
+/// its blocks were last decoded. Returns `(outcome, total_steps)`.
+fn run_chunked_with_flip(
+    machine: &mut Machine,
+    run: &mut dyn FnMut(&mut Machine, u64) -> u64,
+    chunk: u64,
+    flip_at: u64,
+    flip: &dyn Fn(&mut Machine),
+    max_steps: u64,
+) -> (RunOutcome, u64) {
+    let mut total = 0u64;
+    let mut flipped = false;
+    while machine.stopped().is_none() && total < max_steps {
+        if !flipped && total >= flip_at {
+            flip(machine);
+            flipped = true;
+        }
+        let limit = if flipped { max_steps } else { flip_at };
+        total += run(machine, chunk.min(limit - total));
+    }
+    (machine.stopped().unwrap_or(RunOutcome::TimedOut), total)
+}
+
+/// Asserts `got` ended in exactly `want`'s architectural state.
+fn assert_same_state(label: &str, got: &Machine, want: &Machine) {
+    prop_assert_eq!(got.pc(), want.pc(), "{} pc", label);
+    prop_assert_eq!(got.flags(), want.flags(), "{} flags", label);
+    for i in 0..16u8 {
+        let reg = rr_isa::Reg::from_index(i);
+        prop_assert_eq!(got.reg(reg), want.reg(reg), "{} r{}", label, i);
+    }
+    prop_assert_eq!(got.output(), want.output(), "{} output", label);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -143,6 +189,93 @@ proptest! {
         let result = m.run(50_000);
         // Any outcome is fine; the property is that we got one.
         let _ = result.outcome;
+    }
+
+    /// Bit-flipped code runs bit-identically on every tier. A random
+    /// looped program gets one random bit flipped in its text before the
+    /// run and a second one between two chunks of it; the interpreter,
+    /// `run_blocks` and `run_uops` (thresholds {0, 1, 8} × opt {none,
+    /// full}), each driven in random chunks, must then agree on outcome,
+    /// step count, pc, flags, registers and output. Caches with one
+    /// leader (a single superblock entered mid-body) and with every text
+    /// offset as a leader are both exercised.
+    #[test]
+    fn corrupted_code_runs_identically_on_every_tier(
+        lines in proptest::collection::vec(safe_line(), 1..16),
+        iters in 1u64..6,
+        chunk in 1u64..97,
+        first in any::<prop::sample::Index>(),
+        first_bit in 0u8..8,
+        second in any::<prop::sample::Index>(),
+        second_bit in 0u8..8,
+        second_at in 0u64..200,
+        every_offset_leads in any::<bool>(),
+    ) {
+        let exe = assemble_and_link(&looped_program(&lines, iters)).expect("program builds");
+        let text = exe.text_range();
+        let max_steps = 5_000u64;
+        let flip_second = |m: &mut Machine| flip_text_bit(m, &exe, second, second_bit);
+        let fresh = || {
+            let mut m = Machine::new(&exe, &[]);
+            flip_text_bit(&mut m, &exe, first, first_bit);
+            m
+        };
+        let cache = || {
+            let leaders: Vec<u64> =
+                if every_offset_leads { (text.start..text.end).collect() } else { vec![exe.entry] };
+            BlockCache::build(&exe, leaders).expect("original text decodes")
+        };
+
+        let mut interp = fresh();
+        let mut want = interp.run(second_at);
+        if interp.stopped().is_none() {
+            flip_second(&mut interp);
+            want.steps += interp.run(max_steps - want.steps).steps;
+        }
+        let want_outcome = interp.stopped().unwrap_or(RunOutcome::TimedOut);
+
+        let mut chunked = fresh();
+        let got = run_chunked_with_flip(
+            &mut chunked, &mut |m, n| m.run(n).steps, chunk, second_at, &flip_second, max_steps,
+        );
+        prop_assert_eq!((want_outcome, want.steps), got, "interp chunks");
+        assert_same_state("interp chunks", &chunked, &interp);
+
+        let blocks_cache = cache();
+        let mut blocks = fresh();
+        let mut stats = BlockStats::default();
+        let got = run_chunked_with_flip(
+            &mut blocks,
+            &mut |m, n| m.run_blocks(&blocks_cache, n, &mut stats).steps,
+            chunk,
+            second_at,
+            &flip_second,
+            max_steps,
+        );
+        prop_assert_eq!((want_outcome, want.steps), got, "blocks");
+        assert_same_state("blocks", &blocks, &interp);
+        prop_assert_eq!(stats.total(), want.steps);
+
+        for opt in [OptLevel::None, OptLevel::Full] {
+            for hot_threshold in [0u32, 1, 8] {
+                let uops_cache = cache();
+                let config = UopConfig { hot_threshold, opt };
+                let mut uops = fresh();
+                let mut stats = BlockStats::default();
+                let got = run_chunked_with_flip(
+                    &mut uops,
+                    &mut |m, n| m.run_uops(&uops_cache, config, n, &mut stats).steps,
+                    chunk,
+                    second_at,
+                    &flip_second,
+                    max_steps,
+                );
+                let label = format!("uops threshold {hot_threshold} opt {opt}");
+                prop_assert_eq!((want_outcome, want.steps), got, "{}", label);
+                assert_same_state(&label, &uops, &interp);
+                prop_assert_eq!(stats.total(), want.steps);
+            }
+        }
     }
 
     /// Block-cached execution is bit-identical to the interpreter over

@@ -22,8 +22,9 @@ pub enum ExecMode {
     /// Per-step fetch/decode interpretation everywhere (the reference
     /// implementation).
     Interp,
-    /// Pre-decoded superblock execution with interpreter fallback over
-    /// modified code (see [`crate::build_block_cache`]).
+    /// Pre-decoded superblock execution (see [`crate::build_block_cache`]);
+    /// modified code runs from blocks decoded per run from its current
+    /// bytes.
     Blocks,
     /// The blocks tier plus micro-op compilation: blocks crossing
     /// [`rr_emu::UopConfig::hot_threshold`] are lowered once into
@@ -434,14 +435,18 @@ fn run_recorded(
     result
 }
 
-/// Batches a run's per-tier step counts (and the uop tier's compile and
-/// lazy-flag events) into the telemetry handle.
+/// Batches a run's per-tier step counts (and the overlay's decodes and
+/// the uop tier's compile and lazy-flag events) into the telemetry
+/// handle.
 pub fn flush_block_stats(telemetry: &Telemetry, stats: BlockStats) {
     if stats.block_steps > 0 {
         telemetry.count(Counter::BlockSteps, stats.block_steps);
     }
     if stats.interp_steps > 0 {
         telemetry.count(Counter::InterpSteps, stats.interp_steps);
+    }
+    if stats.dirty_blocks_decoded > 0 {
+        telemetry.count(Counter::DirtyBlocksDecoded, stats.dirty_blocks_decoded);
     }
     if stats.uop_steps > 0 {
         telemetry.count(Counter::UopSteps, stats.uop_steps);

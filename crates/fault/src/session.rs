@@ -685,8 +685,11 @@ impl CampaignSession {
     /// Runs a faulted continuation for up to `max_steps`, block-cached
     /// when the session has a cache. Injections that rewrote code bytes
     /// ([`FaultEffect::FlipInstructionBit`]) marked those ranges
-    /// exec-dirty, so the block executor falls back to precise
-    /// interpretation over exactly the corrupted code.
+    /// exec-dirty, so the block executor never serves them from the
+    /// shared cache: each call decodes the corrupted code from the
+    /// machine's current bytes into its own overlay and runs it at
+    /// block speed (undecodable bytes are interpreted, crashing exactly
+    /// where the interpreter would).
     fn faulted_run(&self, machine: &mut Machine, max_steps: u64) -> RunResult {
         match self.replay.block_cache() {
             Some(cache) => self.run_accelerated(machine, cache, max_steps),
@@ -836,8 +839,7 @@ impl CampaignSession {
             }
             let (machine, _) = cursor.as_ref().expect("cursor initialized above");
             self.telemetry.count(Counter::CowClones, 1);
-            let clone = Machine::from_snapshot(&machine.snapshot());
-            let class = self.inject_and_classify(clone, plan);
+            let class = self.inject_and_classify(machine.clone(), plan);
             self.note_plan(plan, class, false);
             out[k] = Some(class);
         }

@@ -67,7 +67,8 @@ fn accelerated_tiers_match_interp_across_workloads_engines_and_scheduling() {
     for w in rr_workloads::all_workloads() {
         // Keep the grid affordable: skip is exhaustive on every
         // workload, and strided bit flips cover the code-corrupting
-        // effect that forces interpreter fallback.
+        // effect that sends execution through the per-run overlay of
+        // blocks decoded from the corrupted bytes.
         for (engine, bucketing, threads) in [
             (CampaignEngine::Checkpointed, true, 1),
             (CampaignEngine::Checkpointed, false, 1),

@@ -155,11 +155,19 @@ pub enum Counter {
     BucketPlans,
     /// Superblocks pre-decoded into the block-cached execution engine.
     BlocksDecoded,
-    /// Instructions executed from pre-decoded block bodies.
+    /// Instructions executed from pre-decoded block bodies (cached, or
+    /// decoded into the per-run overlay over modified code).
     BlockSteps,
     /// Instructions executed by the plain interpreter while a block
-    /// cache was available (fallback: cache miss, dirty code, fences).
+    /// cache was available: bytes that do not decode, fetches from
+    /// non-executable memory, and cache misses while no code has been
+    /// overwritten. Modified code runs from the overlay instead (counted
+    /// under `BlockSteps`).
     InterpSteps,
+    /// Blocks decoded from a faulted machine's current code bytes into
+    /// the per-run overlay (code a bit flip modified, or cache misses
+    /// once any code has been overwritten).
+    DirtyBlocksDecoded,
     /// Cached blocks invalidated by a rewrite's listing delta.
     BlockInvalidations,
     /// Hot superblocks compiled into pre-lowered micro-op traces.
@@ -196,7 +204,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 25;
+    pub const COUNT: usize = 26;
     /// Every counter, in serialization order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::PlansExecuted,
@@ -213,6 +221,7 @@ impl Counter {
         Counter::BlocksDecoded,
         Counter::BlockSteps,
         Counter::InterpSteps,
+        Counter::DirtyBlocksDecoded,
         Counter::BlockInvalidations,
         Counter::BlocksCompiled,
         Counter::UopSteps,
@@ -243,6 +252,7 @@ impl Counter {
             Counter::BlocksDecoded => "blocks_decoded",
             Counter::BlockSteps => "block_steps",
             Counter::InterpSteps => "interp_steps",
+            Counter::DirtyBlocksDecoded => "dirty_blocks_decoded",
             Counter::BlockInvalidations => "block_invalidations",
             Counter::BlocksCompiled => "blocks_compiled",
             Counter::UopSteps => "uop_steps",
